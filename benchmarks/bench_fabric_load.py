@@ -513,10 +513,10 @@ def run(quick: bool = True) -> dict:
         fabric_dir=str(fabric_dir),
         port=0,
         shards=3,
-        executor="thread",
-        workers=1,
         probe_interval_s=0.5,
-        steal_interval_s=0.2,
+        shard=ServiceConfig(
+            executor="thread", workers=1, steal_interval_s=0.2
+        ),
     )
     with BackgroundFabric(config) as fabric:
         fabric_report = drive(config.host, fabric.port, quick)

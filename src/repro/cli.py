@@ -31,10 +31,12 @@ keeping stdout unchanged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import sys
 import time
+import typing
 
 from repro import obs
 from repro.engine import (
@@ -47,6 +49,10 @@ from repro.engine import (
 from repro.offsite.tuner import TABLEAU_FAMILIES
 from repro.stencil.library import STENCIL_SUITE, suite_table
 from repro.util.tables import format_table
+
+if typing.TYPE_CHECKING:
+    from repro.fabric.config import FabricConfig
+    from repro.service.config import ServiceConfig
 
 EXPERIMENTS = {
     "t1": "exp_t1_machines",
@@ -222,67 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="start the async tuning/prediction HTTP service"
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8753, help="0 picks an ephemeral port"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2, help="worker-pool size"
-    )
-    serve.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help="worker-pool kind",
-    )
-    serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="max in-flight jobs before load-shedding (HTTP 429)",
-    )
-    serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=1024,
-        help="response LRU capacity (entries)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="per-request deadline in seconds",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        help="graceful-shutdown budget in seconds",
-    )
-    serve.add_argument(
-        "--db",
-        default=None,
-        help="path of the persistent tuning database (/rank warm tier)",
-    )
-    serve.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=5,
-        help="consecutive fresh-job failures before an endpoint's "
-        "circuit breaker opens",
-    )
-    serve.add_argument(
-        "--breaker-recovery",
-        type=float,
-        default=30.0,
-        help="seconds an open breaker waits before a half-open probe",
-    )
-    serve.add_argument(
-        "--no-degraded",
-        action="store_true",
-        help="refuse (503) instead of serving analytic degraded "
-        "answers while a breaker is open",
-    )
+    _add_service_flags(serve)
     serve.add_argument(
         "--shards",
         type=int,
@@ -295,150 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fabric state directory (segmented database, job ledger, "
         "port files); required with --shards",
-    )
-    serve.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=60.0,
-        help="fabric tune-job lease TTL in seconds",
-    )
-    serve.add_argument(
-        "--steal-interval",
-        type=float,
-        default=0.5,
-        help="idle-shard work-stealing scan period in seconds "
-        "(fabric mode)",
-    )
-    serve.add_argument(
-        "--cost-routing",
-        action="store_true",
-        help="classify jobs by analytic cost at admission and route "
-        "them to separate cheap/expensive queues",
-    )
-    serve.add_argument(
-        "--cost-threshold",
-        type=float,
-        default=0.25,
-        help="estimated job seconds at which a job classes as expensive",
-    )
-    serve.add_argument(
-        "--cheap-queue-limit",
-        type=int,
-        default=None,
-        help="admission bound of the cheap queue (default: --queue-limit)",
-    )
-    serve.add_argument(
-        "--expensive-queue-limit",
-        type=int,
-        default=None,
-        help="admission bound of the expensive queue "
-        "(default: --queue-limit)",
-    )
-    serve.add_argument(
-        "--cheap-timeout",
-        type=float,
-        default=None,
-        help="cheap-queue request deadline in seconds (default: --timeout)",
-    )
-    serve.add_argument(
-        "--expensive-timeout",
-        type=float,
-        default=None,
-        help="expensive-queue request deadline in seconds "
-        "(default: --timeout)",
-    )
-    serve.add_argument(
-        "--expensive-workers",
-        type=int,
-        default=None,
-        help="dedicated pool slots for the expensive queue "
-        "(default: share the main pool)",
-    )
-    serve.add_argument(
-        "--approx",
-        action="store_true",
-        help="serve near-match approximate answers (interpolated from "
-        "stored exact results; responses carry approximate+confidence)",
-    )
-    serve.add_argument(
-        "--approx-confidence",
-        type=float,
-        default=0.75,
-        help="minimum confidence an approximate answer needs; below "
-        "it the request computes exactly",
-    )
-    serve.add_argument(
-        "--approx-capacity",
-        type=int,
-        default=512,
-        help="exact observations retained as interpolation support",
-    )
-    serve.add_argument(
-        "--adaptive-limits",
-        action="store_true",
-        help="AIMD adaptive per-class admission limits: grow on "
-        "healthy latency, halve when a class's windowed p95 breaches "
-        "its target (static limit stays the hard ceiling, floor 1)",
-    )
-    serve.add_argument(
-        "--adaptive-target-ms",
-        type=float,
-        default=500.0,
-        metavar="MS",
-        help="latency target of the cheap class's adaptive limiter "
-        "(the expensive class targets half its own deadline)",
-    )
-    serve.add_argument(
-        "--brownout",
-        action="store_true",
-        help="SLO-burn-driven brownout ladder: sustained page alerts "
-        "degrade in stages (widen approx acceptance, serve /predict "
-        "analytically, shed tune/rank, full shed) with staged "
-        "recovery; requires --slo",
-    )
-    serve.add_argument(
-        "--brownout-approx-confidence",
-        type=float,
-        default=0.5,
-        metavar="C",
-        help="near-match acceptance bar while browned out (never "
-        "raises the configured --approx-confidence)",
-    )
-    serve.add_argument(
-        "--brownout-escalate",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="seconds a page alert must burn before each brownout step",
-    )
-    serve.add_argument(
-        "--brownout-recover",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="calm seconds before each brownout recovery step",
-    )
-    serve.add_argument(
-        "--slo",
-        action="store_true",
-        help="evaluate SLO objectives with multi-window burn-rate "
-        "alerting (surfaced on /slo, as alerts in /healthz and as "
-        "slo rows in /metrics)",
-    )
-    serve.add_argument(
-        "--slo-config",
-        default=None,
-        metavar="JSON|PATH",
-        help="objectives: a JSON file path or inline JSON object "
-        "(implies --slo; default: the shipped objectives)",
-    )
-    serve.add_argument(
-        "--flight-recorder",
-        type=int,
-        default=256,
-        metavar="N",
-        help="per-request flight-recorder ring capacity dumped by "
-        "/debug/requests (0 disables recording)",
     )
 
     obs_cmd = sub.add_parser(
@@ -720,102 +522,85 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_service_flags(parser: argparse.ArgumentParser) -> None:
+    """One ``serve`` flag per :class:`ServiceConfig` field that names
+    one in its metadata; the parsed value lands under the field name."""
+    from repro.service.config import ServiceConfig
+
+    hints = typing.get_type_hints(ServiceConfig)
+    for f in dataclasses.fields(ServiceConfig):
+        if "flag" not in f.metadata:
+            continue
+        kwargs = dict(f.metadata)
+        flag = kwargs.pop("flag")
+        if isinstance(f.default, bool):
+            kwargs["action"] = "store_false" if f.default else "store_true"
+        else:
+            # ``int | None`` parses as int; the None default stays None.
+            hint = hints[f.name]
+            types = [t for t in typing.get_args(hint) if t is not type(None)]
+            kwargs["type"] = types[0] if types else hint
+            kwargs["default"] = f.default
+            if "choices" not in kwargs:
+                # Name the value after the flag, not after the field.
+                metavar = flag[2:].replace("-", "_").upper()
+                kwargs.setdefault("metavar", metavar)
+        parser.add_argument(flag, dest=f.name, **kwargs)
+
+
+def serve_config(
+    args: argparse.Namespace,
+) -> ServiceConfig | FabricConfig:
+    """The one config ``serve`` runs: a :class:`ServiceConfig` built
+    from the flags, wrapped in a :class:`FabricConfig` with
+    ``--shards``."""
+    from repro.service.config import ServiceConfig
+
+    values = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ServiceConfig)
+        if "flag" in f.metadata
+    }
+    # The brownout ladder and custom objectives need the SLO engine.
+    values["slo_enabled"] = (
+        args.slo_enabled or args.brownout or args.slo_config is not None
+    )
+    config = ServiceConfig(**values)
+    if not args.shards:
+        return config
+    from repro.fabric.config import FabricConfig
+
+    return FabricConfig(
+        fabric_dir=args.fabric_dir,
+        host=config.host,
+        port=config.port,
+        shards=args.shards,
+        shard=config,
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service.config import ServiceConfig
-    from repro.service.server import serve
-
-    if args.shards:
-        from repro.fabric import FabricConfig, serve_fabric
-
-        if not args.fabric_dir:
-            print("error: --shards requires --fabric-dir", file=sys.stderr)
-            return 2
-        if args.db:
-            print(
-                "error: --db is single-process only; the fabric uses a "
-                "segmented database under --fabric-dir",
-                file=sys.stderr,
-            )
-            return 2
-        fabric_config = FabricConfig(
-            fabric_dir=args.fabric_dir,
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            workers=args.workers,
-            executor=args.executor,
-            queue_limit=args.queue_limit,
-            response_cache_size=args.cache_size,
-            request_timeout_s=args.timeout,
-            drain_timeout_s=args.drain_timeout,
-            breaker_threshold=args.breaker_threshold,
-            breaker_recovery_s=args.breaker_recovery,
-            degraded_mode=not args.no_degraded,
-            lease_ttl_s=args.lease_ttl,
-            steal_interval_s=args.steal_interval,
-            cost_routing=args.cost_routing,
-            cost_threshold_s=args.cost_threshold,
-            cheap_queue_limit=args.cheap_queue_limit,
-            expensive_queue_limit=args.expensive_queue_limit,
-            cheap_timeout_s=args.cheap_timeout,
-            expensive_timeout_s=args.expensive_timeout,
-            expensive_workers=args.expensive_workers,
-            approx_enabled=args.approx,
-            approx_confidence=args.approx_confidence,
-            approx_capacity=args.approx_capacity,
-            adaptive_limits=args.adaptive_limits,
-            adaptive_target_ms=args.adaptive_target_ms,
-            brownout=args.brownout,
-            brownout_approx_confidence=args.brownout_approx_confidence,
-            brownout_escalate_s=args.brownout_escalate,
-            brownout_recover_s=args.brownout_recover,
-            slo_enabled=(
-                args.slo or args.brownout or args.slo_config is not None
-            ),
-            slo_config=args.slo_config,
-            flight_recorder=args.flight_recorder,
+    if args.shards and not args.fabric_dir:
+        print("error: --shards requires --fabric-dir", file=sys.stderr)
+        return 2
+    if args.shards and args.db_path:
+        print(
+            "error: --db is single-process only; the fabric uses a "
+            "segmented database under --fabric-dir",
+            file=sys.stderr,
         )
-        asyncio.run(serve_fabric(fabric_config))
-        return 0
+        return 2
+    config = serve_config(args)
+    if args.shards:
+        from repro.fabric import serve_fabric
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        executor=args.executor,
-        queue_limit=args.queue_limit,
-        response_cache_size=args.cache_size,
-        request_timeout_s=args.timeout,
-        drain_timeout_s=args.drain_timeout,
-        db_path=args.db,
-        breaker_threshold=args.breaker_threshold,
-        breaker_recovery_s=args.breaker_recovery,
-        degraded_mode=not args.no_degraded,
-        cost_routing=args.cost_routing,
-        cost_threshold_s=args.cost_threshold,
-        cheap_queue_limit=args.cheap_queue_limit,
-        expensive_queue_limit=args.expensive_queue_limit,
-        cheap_timeout_s=args.cheap_timeout,
-        expensive_timeout_s=args.expensive_timeout,
-        expensive_workers=args.expensive_workers,
-        approx_enabled=args.approx,
-        approx_confidence=args.approx_confidence,
-        approx_capacity=args.approx_capacity,
-        adaptive_limits=args.adaptive_limits,
-        adaptive_target_ms=args.adaptive_target_ms,
-        brownout=args.brownout,
-        brownout_approx_confidence=args.brownout_approx_confidence,
-        brownout_escalate_s=args.brownout_escalate,
-        brownout_recover_s=args.brownout_recover,
-        slo_enabled=(
-            args.slo or args.brownout or args.slo_config is not None
-        ),
-        slo_config=args.slo_config,
-        flight_recorder=args.flight_recorder,
-    )
-    asyncio.run(serve(config))
+        asyncio.run(serve_fabric(config))
+    else:
+        from repro.service.server import serve
+
+        asyncio.run(serve(config))
     return 0
 
 

@@ -2,21 +2,49 @@
 
 One frozen dataclass carries every knob of the server: network
 binding, worker-pool sizing, admission control, cache sizing and the
-timeouts that bound a request's life.  The CLI (``python -m repro
-serve``) maps its flags 1:1 onto these fields; tests construct the
-dataclass directly with an ephemeral port.
+timeouts that bound a request's life.  It is the only place a server
+knob is declared: a fabric runs each shard under a copy of it
+(:class:`~repro.fabric.config.FabricConfig` holds one as ``shard``),
+and the CLI (``python -m repro serve``) generates its flags from the
+fields' ``metadata`` (see :func:`_flag`), so the flags map 1:1 onto
+these fields.  Tests construct the dataclass directly with an
+ephemeral port.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any
 
 __all__ = ["ServiceConfig"]
+
+
+def _flag(
+    default: Any, flag: str, help: str | None = None, **argparse_kwargs: Any
+) -> Any:
+    """A field settable by the ``serve`` flag ``flag``.
+
+    ``metadata["flag"]`` names the option; the other metadata entries
+    (``help``, ``metavar``, ``choices``) are passed to
+    ``add_argument``.  The option's type comes from the field's
+    annotation; a ``bool`` field becomes ``store_true`` (default
+    ``False``) or ``store_false`` (default ``True``).  Fields without
+    a flag are set only by code (the fabric, tests).
+    """
+    return field(
+        default=default,
+        metadata={"flag": flag, "help": help, **argparse_kwargs},
+    )
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """All tunables of one :class:`~repro.service.server.ReproService`.
+
+    Every field but five is set by the ``serve`` flag named in its
+    metadata.  ``shard_id``, ``db_dir`` and ``job_dir`` are set only by
+    the fabric supervisor for each shard; ``max_body_bytes`` and
+    ``latency_reservoir`` only by code.
 
     Parameters
     ----------
@@ -78,7 +106,9 @@ class ServiceConfig:
         pid is alive (a dead pid is adoptable immediately).
     steal_interval_s:
         Period of the idle-shard work-stealing scan over ``job_dir``
-        (0 disables stealing; rerouted requests still adopt).
+        (0 disables stealing; rerouted requests still adopt).  The
+        scan runs only when ``job_dir`` is set, i.e. in a fabric
+        shard.
     cost_routing:
         Cost-aware admission: classify each fresh job at admission by
         an analytic ECM cost estimate and route it to the ``cheap`` or
@@ -152,44 +182,180 @@ class ServiceConfig:
         reports an empty ring).
     """
 
-    host: str = "127.0.0.1"
-    port: int = 8753
-    workers: int = 2
-    executor: str = "process"
-    queue_limit: int = 64
-    response_cache_size: int = 1024
-    request_timeout_s: float = 120.0
-    drain_timeout_s: float = 30.0
-    db_path: str | None = None
+    host: str = _flag("127.0.0.1", "--host")
+    port: int = _flag(8753, "--port", "0 picks an ephemeral port")
+    workers: int = _flag(2, "--workers", "worker-pool size")
+    executor: str = _flag(
+        "process",
+        "--executor",
+        "worker-pool kind",
+        choices=("process", "thread"),
+    )
+    queue_limit: int = _flag(
+        64,
+        "--queue-limit",
+        "max in-flight jobs before load-shedding (HTTP 429)",
+    )
+    response_cache_size: int = _flag(
+        1024, "--cache-size", "response LRU capacity (entries)"
+    )
+    request_timeout_s: float = _flag(
+        120.0, "--timeout", "per-request deadline in seconds"
+    )
+    drain_timeout_s: float = _flag(
+        30.0, "--drain-timeout", "graceful-shutdown budget in seconds"
+    )
+    db_path: str | None = _flag(
+        None,
+        "--db",
+        "path of the persistent tuning database (/rank warm tier)",
+    )
     max_body_bytes: int = 1 << 20
     latency_reservoir: int = 2048
-    breaker_threshold: int = 5
-    breaker_recovery_s: float = 30.0
-    degraded_mode: bool = True
+    breaker_threshold: int = _flag(
+        5,
+        "--breaker-threshold",
+        "consecutive fresh-job failures before an endpoint's "
+        "circuit breaker opens",
+    )
+    breaker_recovery_s: float = _flag(
+        30.0,
+        "--breaker-recovery",
+        "seconds an open breaker waits before a half-open probe",
+    )
+    degraded_mode: bool = _flag(
+        True,
+        "--no-degraded",
+        "refuse (503) instead of serving analytic degraded "
+        "answers while a breaker is open",
+    )
     shard_id: int | None = None
     db_dir: str | None = None
     job_dir: str | None = None
-    lease_ttl_s: float = 60.0
-    steal_interval_s: float = 0.0
-    cost_routing: bool = False
-    cost_threshold_s: float = 0.25
-    cheap_queue_limit: int | None = None
-    expensive_queue_limit: int | None = None
-    cheap_timeout_s: float | None = None
-    expensive_timeout_s: float | None = None
-    expensive_workers: int | None = None
-    approx_enabled: bool = False
-    approx_confidence: float = 0.75
-    approx_capacity: int = 512
-    adaptive_limits: bool = False
-    adaptive_target_ms: float = 500.0
-    brownout: bool = False
-    brownout_approx_confidence: float = 0.5
-    brownout_escalate_s: float = 2.0
-    brownout_recover_s: float = 5.0
-    slo_enabled: bool = False
-    slo_config: str | None = None
-    flight_recorder: int = 256
+    lease_ttl_s: float = _flag(
+        60.0, "--lease-ttl", "fabric tune-job lease TTL in seconds"
+    )
+    steal_interval_s: float = _flag(
+        0.5,
+        "--steal-interval",
+        "idle-shard work-stealing scan period in seconds (fabric mode)",
+    )
+    cost_routing: bool = _flag(
+        False,
+        "--cost-routing",
+        "classify jobs by analytic cost at admission and route "
+        "them to separate cheap/expensive queues",
+    )
+    cost_threshold_s: float = _flag(
+        0.25,
+        "--cost-threshold",
+        "estimated job seconds at which a job classes as expensive",
+    )
+    cheap_queue_limit: int | None = _flag(
+        None,
+        "--cheap-queue-limit",
+        "admission bound of the cheap queue (default: --queue-limit)",
+    )
+    expensive_queue_limit: int | None = _flag(
+        None,
+        "--expensive-queue-limit",
+        "admission bound of the expensive queue (default: --queue-limit)",
+    )
+    cheap_timeout_s: float | None = _flag(
+        None,
+        "--cheap-timeout",
+        "cheap-queue request deadline in seconds (default: --timeout)",
+    )
+    expensive_timeout_s: float | None = _flag(
+        None,
+        "--expensive-timeout",
+        "expensive-queue request deadline in seconds (default: --timeout)",
+    )
+    expensive_workers: int | None = _flag(
+        None,
+        "--expensive-workers",
+        "dedicated pool slots for the expensive queue "
+        "(default: share the main pool)",
+    )
+    approx_enabled: bool = _flag(
+        False,
+        "--approx",
+        "serve near-match approximate answers (interpolated from "
+        "stored exact results; responses carry approximate+confidence)",
+    )
+    approx_confidence: float = _flag(
+        0.75,
+        "--approx-confidence",
+        "minimum confidence an approximate answer needs; below "
+        "it the request computes exactly",
+    )
+    approx_capacity: int = _flag(
+        512,
+        "--approx-capacity",
+        "exact observations retained as interpolation support",
+    )
+    adaptive_limits: bool = _flag(
+        False,
+        "--adaptive-limits",
+        "AIMD adaptive per-class admission limits: grow on "
+        "healthy latency, halve when a class's windowed p95 breaches "
+        "its target (static limit stays the hard ceiling, floor 1)",
+    )
+    adaptive_target_ms: float = _flag(
+        500.0,
+        "--adaptive-target-ms",
+        "latency target of the cheap class's adaptive limiter "
+        "(the expensive class targets half its own deadline)",
+        metavar="MS",
+    )
+    brownout: bool = _flag(
+        False,
+        "--brownout",
+        "SLO-burn-driven brownout ladder: sustained page alerts "
+        "degrade in stages (widen approx acceptance, serve /predict "
+        "analytically, shed tune/rank, full shed) with staged "
+        "recovery; implies --slo",
+    )
+    brownout_approx_confidence: float = _flag(
+        0.5,
+        "--brownout-approx-confidence",
+        "near-match acceptance bar while browned out (never "
+        "raises the configured --approx-confidence)",
+        metavar="C",
+    )
+    brownout_escalate_s: float = _flag(
+        2.0,
+        "--brownout-escalate",
+        "seconds a page alert must burn before each brownout step",
+        metavar="S",
+    )
+    brownout_recover_s: float = _flag(
+        5.0,
+        "--brownout-recover",
+        "calm seconds before each brownout recovery step",
+        metavar="S",
+    )
+    slo_enabled: bool = _flag(
+        False,
+        "--slo",
+        "evaluate SLO objectives with multi-window burn-rate "
+        "alerting (surfaced on /slo, as alerts in /healthz and as "
+        "slo rows in /metrics)",
+    )
+    slo_config: str | None = _flag(
+        None,
+        "--slo-config",
+        "objectives: a JSON file path or inline JSON object "
+        "(implies --slo; default: the shipped objectives)",
+        metavar="JSON|PATH",
+    )
+    flight_recorder: int = _flag(
+        256,
+        "--flight-recorder",
+        "per-request flight-recorder ring capacity dumped by "
+        "/debug/requests (0 disables recording)",
+        metavar="N",
+    )
 
     def __post_init__(self) -> None:
         if self.workers <= 0:

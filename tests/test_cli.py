@@ -1,8 +1,19 @@
 """CLI tests (argument parsing and command output)."""
 
+import argparse
+import dataclasses
+
 import pytest
 
-from repro.cli import EXPERIMENTS, _parse_shape, build_parser, main
+from repro.cli import (
+    EXPERIMENTS,
+    _parse_shape,
+    build_parser,
+    main,
+    serve_config,
+)
+from repro.fabric.config import FabricConfig, shard_service_config
+from repro.service.config import ServiceConfig
 
 
 class TestParsing:
@@ -232,3 +243,230 @@ class TestErrorPath:
         argv = ["predict", "3d7pt", "--grid", "16x16", "--block", "8x8x8"]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# serve: flags -> ServiceConfig (one flag per field, one config)
+# ----------------------------------------------------------------------
+SERVE_FLAGS = [
+    "--adaptive-limits", "--adaptive-target-ms", "--approx",
+    "--approx-capacity", "--approx-confidence", "--breaker-recovery",
+    "--breaker-threshold", "--brownout", "--brownout-approx-confidence",
+    "--brownout-escalate", "--brownout-recover", "--cache-size",
+    "--cheap-queue-limit", "--cheap-timeout", "--cost-routing",
+    "--cost-threshold", "--db", "--drain-timeout", "--executor",
+    "--expensive-queue-limit", "--expensive-timeout", "--expensive-workers",
+    "--fabric-dir", "--flight-recorder", "--host", "--lease-ttl",
+    "--no-degraded", "--port", "--queue-limit", "--shards", "--slo",
+    "--slo-config", "--steal-interval", "--timeout", "--workers",
+]
+
+#: ServiceConfig fields no flag sets: the fabric sets the first three
+#: per shard, code sets the last two.
+FLAGLESS_FIELDS = {
+    "shard_id", "db_dir", "job_dir", "max_body_bytes", "latency_reservoir",
+}
+
+#: ``repro serve`` with no flags (values pinned from the release
+#: before flags were generated from the dataclass, except that
+#: steal_interval_s is now 0.5 here too: inert without job_dir).
+DEFAULT_SERVE = ServiceConfig(
+    host="127.0.0.1",
+    port=8753,
+    workers=2,
+    executor="process",
+    queue_limit=64,
+    response_cache_size=1024,
+    request_timeout_s=120.0,
+    drain_timeout_s=30.0,
+    db_path=None,
+    max_body_bytes=1 << 20,
+    latency_reservoir=2048,
+    breaker_threshold=5,
+    breaker_recovery_s=30.0,
+    degraded_mode=True,
+    shard_id=None,
+    db_dir=None,
+    job_dir=None,
+    lease_ttl_s=60.0,
+    steal_interval_s=0.5,
+    cost_routing=False,
+    cost_threshold_s=0.25,
+    cheap_queue_limit=None,
+    expensive_queue_limit=None,
+    cheap_timeout_s=None,
+    expensive_timeout_s=None,
+    expensive_workers=None,
+    approx_enabled=False,
+    approx_confidence=0.75,
+    approx_capacity=512,
+    adaptive_limits=False,
+    adaptive_target_ms=500.0,
+    brownout=False,
+    brownout_approx_confidence=0.5,
+    brownout_escalate_s=2.0,
+    brownout_recover_s=5.0,
+    slo_enabled=False,
+    slo_config=None,
+    flight_recorder=256,
+)
+
+#: Every service flag at a non-default value (``--db`` is added only in
+#: single-process mode, where it is allowed).
+ALL_FLAGS = [
+    "--host", "127.0.0.2", "--port", "9999", "--workers", "3",
+    "--executor", "thread", "--queue-limit", "7", "--cache-size", "11",
+    "--timeout", "13.5", "--drain-timeout", "4.5",
+    "--breaker-threshold", "9", "--breaker-recovery", "2.5",
+    "--no-degraded", "--lease-ttl", "17", "--steal-interval", "0.25",
+    "--cost-routing", "--cost-threshold", "0.5",
+    "--cheap-queue-limit", "5", "--expensive-queue-limit", "3",
+    "--cheap-timeout", "6.5", "--expensive-timeout", "300",
+    "--expensive-workers", "1", "--approx", "--approx-confidence", "0.9",
+    "--approx-capacity", "99", "--adaptive-limits",
+    "--adaptive-target-ms", "250", "--brownout",
+    "--brownout-approx-confidence", "0.3", "--brownout-escalate", "1.5",
+    "--brownout-recover", "3.5", "--slo", "--slo-config",
+    '{"objectives": []}', "--flight-recorder", "32",
+]
+
+ALL_FLAGS_SERVE = ServiceConfig(
+    host="127.0.0.2",
+    port=9999,
+    workers=3,
+    executor="thread",
+    queue_limit=7,
+    response_cache_size=11,
+    request_timeout_s=13.5,
+    drain_timeout_s=4.5,
+    db_path="T.json",
+    max_body_bytes=1 << 20,
+    latency_reservoir=2048,
+    breaker_threshold=9,
+    breaker_recovery_s=2.5,
+    degraded_mode=False,
+    shard_id=None,
+    db_dir=None,
+    job_dir=None,
+    lease_ttl_s=17.0,
+    steal_interval_s=0.25,
+    cost_routing=True,
+    cost_threshold_s=0.5,
+    cheap_queue_limit=5,
+    expensive_queue_limit=3,
+    cheap_timeout_s=6.5,
+    expensive_timeout_s=300.0,
+    expensive_workers=1,
+    approx_enabled=True,
+    approx_confidence=0.9,
+    approx_capacity=99,
+    adaptive_limits=True,
+    adaptive_target_ms=250.0,
+    brownout=True,
+    brownout_approx_confidence=0.3,
+    brownout_escalate_s=1.5,
+    brownout_recover_s=3.5,
+    slo_enabled=True,
+    slo_config='{"objectives": []}',
+    flight_recorder=32,
+)
+
+
+def _serve_config(*argv):
+    return serve_config(build_parser().parse_args(["serve", *argv]))
+
+
+def _serve_parser() -> argparse.ArgumentParser:
+    sub = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return sub.choices["serve"]
+
+
+class TestServeConfig:
+    def test_flag_set_is_pinned(self):
+        options = sorted(
+            option
+            for action in _serve_parser()._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        assert options == sorted(SERVE_FLAGS)
+        assert len(options) == 35
+
+    def test_every_field_has_a_flag_or_is_flagless(self):
+        fields = dataclasses.fields(ServiceConfig)
+        assert len(fields) == 38
+        flagless = {f.name for f in fields if "flag" not in f.metadata}
+        assert flagless == FLAGLESS_FIELDS
+        flags = {f.metadata["flag"] for f in fields if "flag" in f.metadata}
+        assert flags == set(SERVE_FLAGS) - {"--shards", "--fabric-dir"}
+
+    def test_default_single_process(self):
+        config = _serve_config()
+        assert type(config) is ServiceConfig
+        assert config == DEFAULT_SERVE
+
+    def test_default_fabric_shards(self):
+        config = _serve_config("--shards", "2", "--fabric-dir", "FD")
+        assert isinstance(config, FabricConfig)
+        topology = (config.fabric_dir, config.host, config.port)
+        assert topology == ("FD", "127.0.0.1", 8753)
+        assert config.shards == 2
+        for index in range(2):
+            assert shard_service_config(config, index) == dataclasses.replace(
+                DEFAULT_SERVE,
+                port=0,
+                shard_id=index,
+                db_dir="FD/db",
+                job_dir="FD/jobs",
+            )
+
+    def test_every_flag_set(self):
+        assert _serve_config(*ALL_FLAGS, "--db", "T.json") == ALL_FLAGS_SERVE
+
+    def test_every_flag_set_fabric(self):
+        config = _serve_config(
+            *ALL_FLAGS, "--shards", "2", "--fabric-dir", "FD"
+        )
+        assert (config.host, config.port) == ("127.0.0.2", 9999)
+        assert shard_service_config(config, 1) == dataclasses.replace(
+            ALL_FLAGS_SERVE,
+            port=0,
+            db_path=None,
+            shard_id=1,
+            db_dir="FD/db",
+            job_dir="FD/jobs",
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["--brownout"], ["--slo-config", "slo.json"]]
+    )
+    def test_brownout_and_slo_config_imply_slo(self, argv):
+        assert _serve_config(*argv).slo_enabled is True
+
+    def test_shards_require_fabric_dir(self, capsys):
+        assert main(["serve", "--shards", "2"]) == 2
+        assert "--shards requires --fabric-dir" in capsys.readouterr().err
+
+    def test_db_refused_with_shards(self, capsys, tmp_path):
+        argv = ["serve", "--shards", "2", "--fabric-dir", str(tmp_path),
+                "--db", "T.json"]
+        assert main(argv) == 2
+        assert "--db is single-process only" in capsys.readouterr().err
+
+    def test_invalid_shard_knob_raises_at_fabric_construction(self, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            FabricConfig(
+                fabric_dir=str(tmp_path), shard=ServiceConfig(workers=0)
+            )
+        # A knob only the fabric rejects: db_path excludes the
+        # segmented database every shard runs.
+        with pytest.raises(ValueError, match="db_path"):
+            FabricConfig(
+                fabric_dir=str(tmp_path), shard=ServiceConfig(db_path="x")
+            )
+        with pytest.raises(TypeError):
+            FabricConfig(fabric_dir=str(tmp_path), shard={"workers": 1})

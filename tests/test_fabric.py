@@ -43,11 +43,11 @@ def fabric(tmp_path_factory):
         fabric_dir=str(tmp_path_factory.mktemp("fabric")),
         port=0,
         shards=3,
-        executor="thread",
-        workers=1,
         probe_interval_s=0.2,
-        steal_interval_s=0.2,
         restart_shards=False,
+        shard=ServiceConfig(
+            executor="thread", workers=1, steal_interval_s=0.2
+        ),
     )
     with BackgroundFabric(config) as fab:
         yield fab
@@ -228,28 +228,41 @@ class TestMetricsFanIn:
 @pytest.mark.slow
 class TestShardLoss:
     """Killing a shard degrades health but never availability: its
-    keys reroute deterministically to ring successors.  (Runs last in
-    the module: the shared fabric loses a member here.)"""
+    keys reroute deterministically to ring successors.
 
-    def test_kill_then_keys_reroute(self, fabric):
+    Runs on its own fabric whose health prober never fires during the
+    test (an hour-long period), so the router can learn of the death
+    only from the refused forward: the request must be rerouted, rather
+    than racing the prober to a shard it already marked down."""
+
+    def test_kill_then_keys_reroute(self, tmp_path):
+        config = FabricConfig(
+            fabric_dir=str(tmp_path),
+            port=0,
+            shards=3,
+            probe_interval_s=3600.0,
+            restart_shards=False,
+            shard=ServiceConfig(executor="thread", workers=1),
+        )
         ring = HashRing(["0", "1", "2"])
         payload = {"stencil": "3d7pt", "grid": [40, 40, 40]}
         key = shard_key("/predict", payload)
         victim = ring.route(key)
         successor = ring.route_order(key, limit=2)[1]
 
-        fabric.kill_shard(int(victim))
-        status, body, headers = raw_request(
-            fabric.config.host, fabric.port, "POST", "/predict", payload
-        )
-        assert status == 200
-        assert headers["x-repro-shard"] == successor
-        assert json.loads(body)["result"]["stencil"]
+        with BackgroundFabric(config) as fabric:
+            fabric.kill_shard(int(victim))
+            status, body, headers = raw_request(
+                fabric.config.host, fabric.port, "POST", "/predict", payload
+            )
+            assert status == 200
+            assert headers["x-repro-shard"] == successor
+            assert json.loads(body)["result"]["stencil"]
 
-        health = fabric.client.healthz()
-        assert health["http_status"] == 200
-        assert health["status"] == "degraded"
-        assert health["shards"][victim]["up"] is False
-        metrics = fabric.client.metrics()
-        assert victim in metrics["fabric"]["down"]
-        assert metrics["fabric"]["router"]["rerouted"] >= 1
+            health = fabric.client.healthz()
+            assert health["http_status"] == 200
+            assert health["status"] == "degraded"
+            assert health["shards"][victim]["up"] is False
+            metrics = fabric.client.metrics()
+            assert victim in metrics["fabric"]["down"]
+            assert metrics["fabric"]["router"]["rerouted"] >= 1

@@ -408,13 +408,15 @@ class TestOverloadConfig:
         config = FabricConfig(
             fabric_dir=str(tmp_path),
             shards=1,
-            adaptive_limits=True,
-            adaptive_target_ms=123.0,
-            brownout=True,
-            slo_enabled=True,
-            brownout_escalate_s=1.0,
-            brownout_recover_s=2.0,
-            brownout_approx_confidence=0.25,
+            shard=ServiceConfig(
+                adaptive_limits=True,
+                adaptive_target_ms=123.0,
+                brownout=True,
+                slo_enabled=True,
+                brownout_escalate_s=1.0,
+                brownout_recover_s=2.0,
+                brownout_approx_confidence=0.25,
+            ),
         )
         shard = shard_service_config(config, 0)
         assert shard.adaptive_limits is True
@@ -842,6 +844,94 @@ class TestRouterRetryAfter:
             hosted.close()
         assert status == 504
         assert json.loads(raw)["error"] == "deadline expired"
+
+
+class _SlowShardHandler(_RecordingHandler):
+    """A stub shard that answers only after 6.5 s: past the router's
+    wait for a 0.5 s request deadline (0.5 s + 5 s slack)."""
+
+    def _serve(self):
+        time.sleep(6.5)
+        super()._serve()
+
+    do_GET = do_POST = _serve
+
+
+@pytest.fixture()
+def slow_shard():
+    handler = type(
+        "Handler", (_SlowShardHandler,), {"script": [], "seen": []}
+    )
+    server = http.server.HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1], handler
+    finally:
+        server.shutdown()
+        thread.join(timeout=5.0)
+
+
+class TestRouterUpstreamWait:
+    def test_wait_is_the_longest_class_deadline_plus_slack(self, tmp_path):
+        plain = FabricConfig(fabric_dir=str(tmp_path))
+        assert FabricRouter(plain, {})._upstream_timeout_s == 125.0
+        routed = FabricConfig(
+            fabric_dir=str(tmp_path),
+            shard=ServiceConfig(
+                cost_routing=True,
+                cheap_timeout_s=2.0,
+                expensive_timeout_s=300.0,
+            ),
+        )
+        assert FabricRouter(routed, {})._upstream_timeout_s == 305.0
+
+    def test_relays_an_expensive_answer_past_the_default_deadline(
+        self, tmp_path, slow_shard
+    ):
+        # Cost routing lets the shard run an expensive job for 8 s, so
+        # its answer at 6.5 s must be relayed, not cut off at 5.5 s.
+        port, handler = slow_shard
+        handler.script.append((200, {}, b'{"ok": true}'))
+        config = FabricConfig(
+            fabric_dir=str(tmp_path), shards=1, probe_interval_s=3600.0,
+            shard=ServiceConfig(
+                request_timeout_s=0.5,
+                cost_routing=True,
+                expensive_timeout_s=8.0,
+            ),
+        )
+        hosted = _RouterThread(config, {0: port})
+        try:
+            status, body, headers = raw_request(
+                "127.0.0.1", hosted.port, "POST", "/tune",
+                {"stencil": "3d7pt", "grid": [64, 64, 64]},
+            )
+        finally:
+            hosted.close()
+        assert status == 200
+        assert json.loads(body) == {"ok": True}
+        assert headers["x-repro-shard"] == "0"
+
+    def test_timeout_is_502_and_never_rerouted(self, tmp_path, slow_shard):
+        # Past the wait the shard still holds the request: the router
+        # answers 502 itself and neither marks it down nor replays it.
+        port, _ = slow_shard
+        config = FabricConfig(
+            fabric_dir=str(tmp_path), shards=1, probe_interval_s=3600.0,
+            shard=ServiceConfig(request_timeout_s=0.5),
+        )
+        hosted = _RouterThread(config, {0: port})
+        try:
+            status, body, _ = raw_request(
+                "127.0.0.1", hosted.port, "POST", "/predict", PREDICT
+            )
+        finally:
+            hosted.close()
+        assert status == 502
+        assert json.loads(body) == {"error": "shard timeout", "shard": "0"}
+        assert hosted.router.down == set()
+        assert hosted.router.counters["rerouted"] == 0
 
 
 # ----------------------------------------------------------------------
